@@ -1,6 +1,6 @@
 package grid
 
-// Epoch-invalidated cost-field cache. GPU global routers get their
+// Write-through cost-field cache. GPU global routers get their
 // throughput by turning per-edge cost evaluation into array loads over
 // precomputed cost maps (GAP-LA builds per-layer maps with prefix sums for
 // its layer-assignment DP); this file brings the same structure to the two
@@ -15,23 +15,28 @@ package grid
 // G-cell column: one value per boundary plus a per-cell prefix over the
 // L-1 boundaries, collapsing ViaStackCost.
 //
-// Invalidation protocol. Demand and history mutations invalidate at G-cell
-// granularity: the mutated edge's stale flag is set (plain write — edge
+// Write-through protocol. Every demand or history mutation stores the
+// mutated edge's fresh cost at the point of the write: wireCostAt/viaCostAt
+// of the new state goes straight into the value array (plain write — edge
 // mutation is already owner-exclusive under the disjoint-window discipline,
-// exactly like the demand array itself) and the edge's line/cell dirty flag
-// is set (atomic — lines cross window boundaries, so concurrent rip-up
-// workers in disjoint windows may share one). Readers never write the
-// cache: a stale edge or dirty line falls back to the direct formula, which
-// is always correct, so cache state can only change speed, never results.
-// All materialization happens in WarmCostCache, which callers invoke only
-// at single-threaded coordinator points (between pattern batches, at the
-// top of a rip-up iteration).
+// exactly like the demand write it follows), and the edge's line/cell
+// dirty flag is set (atomic — lines cross window boundaries, so concurrent
+// rip-up workers in disjoint windows may share one). Per-edge values are
+// therefore never stale once the cache is built, and readers never write
+// the cache; a read misses only before the first warm or outside a
+// windowed cache, and then evaluates the direct formula. Only the prefix
+// sums wait for the dirty flags: a dirty line or cell falls back to
+// summing its per-edge values. Prefix materialization happens in
+// WarmCostCache, which callers invoke only at single-threaded coordinator
+// points (between pattern batches, at the top of a rip-up iteration).
 //
 // Determinism. A cached edge value is bit-identical to the direct formula
-// (it is produced by the same code). The prefix-sum segment read may differ
-// from the left-fold walk by float rounding; every consumer of SegCost
-// compares with tolerances, and the maze router uses only per-edge costs,
-// so routed geometry is bit-identical for any warm/cold state.
+// at the current state: it is produced by the same code, and refreshed on
+// every write to the demand or history it reads. The prefix-sum segment
+// read may differ from the left-fold walk by float rounding; every consumer
+// of SegCost compares with tolerances, and the maze router uses only
+// per-edge costs, so routed geometry is bit-identical for any warm/cold
+// state.
 
 import (
 	"math"
@@ -60,8 +65,7 @@ type costCache struct {
 	// Wire side. For the full window, indexed like wireDem: [l-1][edge].
 	// For a partial window, [l-1] holds the window's own row-major edge
 	// block (see ccWireSpan/ccWireLocal).
-	wireVal   [][]float64
-	wireStale [][]bool
+	wireVal [][]float64
 	// wirePfx[l-1] holds lineCount(l) runs of lineLen(l)+1 exclusive
 	// prefix sums (full window only); wireDirty[l-1] has one flag per
 	// window line.
@@ -71,7 +75,6 @@ type costCache struct {
 	// Via side: [b][cell] values, one L-entry prefix run per cell
 	// (viaPfx[cell*L+k] sums boundaries 0..k-1), one flag per cell.
 	viaVal   [][]float64
-	viaStale [][]bool
 	viaPfx   []float64
 	viaDirty []atomic.Uint32
 
@@ -84,8 +87,8 @@ type costCache struct {
 }
 
 // SetObserver attaches (or, with nil, detaches) the flight recorder to the
-// cost cache: fast-path hit/miss counters, per-edge invalidation counts and
-// the number of lines/cells rebuilt by WarmCostCache.
+// cost cache: fast-path hit/miss counters, per-edge write-through refresh
+// counts and the number of lines/cells rebuilt by WarmCostCache.
 func (g *Graph) SetObserver(o *obs.Observer) {
 	g.cc.hits = o.M().Counter(obs.MCostHits)
 	g.cc.misses = o.M().Counter(obs.MCostMisses)
@@ -162,7 +165,8 @@ func (g *Graph) ccViaLocal(x, y int) (int, bool) {
 }
 
 // wireCostAt is the direct cost formula for wire edge i of layer l — the
-// single source of truth both the fallback path and the warmer evaluate.
+// single source of truth the miss path, the write-through and the warmer
+// all evaluate.
 func (g *Graph) wireCostAt(l, i int) float64 {
 	cap, dem := g.wireCap[l-1][i], g.wireDem[l-1][i]
 	c := g.Params.UnitWire + g.logistic(dem, cap)
@@ -182,18 +186,19 @@ func (g *Graph) viaCostAt(l, i int) float64 {
 	return g.Params.UnitVia + g.logistic(dem, cap)
 }
 
-// noteWireMutation invalidates the cached cost of one wire edge: the
-// caller owns the edge (demand writes already require that), the line flag
-// is shared across windows and therefore atomic. i is the global edge
-// index; a windowed cache inverts it to window-local coordinates and
-// ignores mutations it never covered.
+// noteWireMutation writes the fresh cost of one mutated wire edge through
+// to the cache and marks its line's prefix sums dirty. The caller owns the
+// edge (demand writes already require that); the line flag is shared
+// across windows and therefore atomic. i is the global edge index; a
+// windowed cache inverts it to window-local coordinates and ignores
+// mutations it never covered.
 func (g *Graph) noteWireMutation(l, i int) {
 	cc := &g.cc
 	if !cc.built {
 		return
 	}
 	if cc.full {
-		cc.wireStale[l-1][i] = true
+		cc.wireVal[l-1][i] = g.wireCostAt(l, i)
 		cc.wireDirty[l-1][i/g.lineLen(l)].Store(1)
 		cc.invals.Add(1)
 		return
@@ -208,14 +213,14 @@ func (g *Graph) noteWireMutation(l, i int) {
 	if !ok {
 		return
 	}
-	cc.wireStale[l-1][li] = true
+	cc.wireVal[l-1][li] = g.wireCostAt(l, i)
 	cc.wireDirty[l-1][line].Store(1)
 	cc.invals.Add(1)
 }
 
-// noteViaMutation invalidates one via edge and its cell's prefix run.
-// cell is the global y*W+x index; windowed caches translate it like
-// noteWireMutation does.
+// noteViaMutation writes one via edge's fresh cost through and marks its
+// cell's prefix run dirty. cell is the global y*W+x index; windowed caches
+// translate it like noteWireMutation does.
 func (g *Graph) noteViaMutation(l, cell int) {
 	cc := &g.cc
 	if !cc.built {
@@ -228,21 +233,22 @@ func (g *Graph) noteViaMutation(l, cell int) {
 			return
 		}
 	}
-	cc.viaStale[l-1][ci] = true
+	cc.viaVal[l-1][ci] = g.viaCostAt(l, cell)
 	cc.viaDirty[ci].Store(1)
 	cc.invals.Add(1)
 }
 
-// WarmCostCache (re)materializes every dirty line and cell of the cost
-// field — the whole field on first call. It must only be called at
-// single-threaded coordinator points: it is the one place cache values are
-// written, which is what lets concurrent readers skip all synchronization
-// on the value arrays.
+// WarmCostCache materializes the cost field on first call — every edge
+// value from the direct formula — and afterwards re-sums the prefix runs of
+// every dirty line and cell from the write-through values, which are
+// already fresh. It must only be called at single-threaded coordinator
+// points: it is the one place prefix sums are written, which is what lets
+// concurrent readers skip all synchronization on the prefix arrays.
 func (g *Graph) WarmCostCache() {
 	cc := &g.cc
-	if !cc.built {
+	build := !cc.built
+	if build {
 		cc.wireVal = make([][]float64, g.L)
-		cc.wireStale = make([][]bool, g.L)
 		if cc.full {
 			cc.wirePfx = make([][]float64, g.L)
 		}
@@ -253,7 +259,6 @@ func (g *Graph) WarmCostCache() {
 				ll = 0
 			}
 			cc.wireVal[l-1] = make([]float64, lines*ll)
-			cc.wireStale[l-1] = make([]bool, lines*ll)
 			if cc.full {
 				cc.wirePfx[l-1] = make([]float64, lines*(ll+1))
 			}
@@ -264,10 +269,8 @@ func (g *Graph) WarmCostCache() {
 		}
 		cells := cc.win.Area()
 		cc.viaVal = make([][]float64, g.L-1)
-		cc.viaStale = make([][]bool, g.L-1)
 		for b := 0; b < g.L-1; b++ {
 			cc.viaVal[b] = make([]float64, cells)
-			cc.viaStale[b] = make([]bool, cells)
 		}
 		if cc.full {
 			cc.viaPfx = make([]float64, cells*g.L)
@@ -285,7 +288,7 @@ func (g *Graph) WarmCostCache() {
 		if ll <= 0 {
 			continue
 		}
-		val, stale := cc.wireVal[l-1], cc.wireStale[l-1]
+		val := cc.wireVal[l-1]
 		dirty := cc.wireDirty[l-1]
 		horiz := g.Dir(l) == Horizontal
 		for li := 0; li < lines; li++ {
@@ -293,29 +296,28 @@ func (g *Graph) WarmCostCache() {
 				continue
 			}
 			base := li * ll
-			if cc.full {
-				pfx := cc.wirePfx[l-1]
-				pbase := li * (ll + 1)
-				sum := 0.0
-				pfx[pbase] = 0
+			if build {
 				for k := 0; k < ll; k++ {
-					c := g.wireCostAt(l, base+k)
-					val[base+k] = c
-					stale[base+k] = false
-					sum += c
-					pfx[pbase+k+1] = sum
-				}
-			} else {
-				for k := 0; k < ll; k++ {
-					var x, y int
-					if horiz {
-						x, y = cc.win.Lo.X+k, cc.win.Lo.Y+li
-					} else {
-						x, y = cc.win.Lo.X+li, cc.win.Lo.Y+k
+					i := base + k
+					if !cc.full {
+						var x, y int
+						if horiz {
+							x, y = cc.win.Lo.X+k, cc.win.Lo.Y+li
+						} else {
+							x, y = cc.win.Lo.X+li, cc.win.Lo.Y+k
+						}
+						i = g.wireIndex(l, x, y)
 					}
-					c := g.wireCostAt(l, g.wireIndex(l, x, y))
-					val[base+k] = c
-					stale[base+k] = false
+					val[base+k] = g.wireCostAt(l, i)
+				}
+			}
+			if cc.full {
+				pfx := cc.wirePfx[l-1][li*(ll+1):]
+				sum := 0.0
+				pfx[0] = 0
+				for k, c := range val[base : base+ll] {
+					sum += c
+					pfx[k+1] = sum
 				}
 			}
 			dirty[li].Store(0)
@@ -327,25 +329,22 @@ func (g *Graph) WarmCostCache() {
 		if cc.viaDirty[ci].Load() == 0 {
 			continue
 		}
-		gcell := ci
-		if !cc.full {
-			gcell = (cc.win.Lo.Y+ci/cw)*g.W + cc.win.Lo.X + ci%cw
-		}
-		if cc.full {
-			base := ci * g.L
-			sum := 0.0
-			cc.viaPfx[base] = 0
-			for b := 0; b < g.L-1; b++ {
-				c := g.viaCostAt(b+1, gcell)
-				cc.viaVal[b][ci] = c
-				cc.viaStale[b][ci] = false
-				sum += c
-				cc.viaPfx[base+b+1] = sum
+		if build {
+			gcell := ci
+			if !cc.full {
+				gcell = (cc.win.Lo.Y+ci/cw)*g.W + cc.win.Lo.X + ci%cw
 			}
-		} else {
 			for b := 0; b < g.L-1; b++ {
 				cc.viaVal[b][ci] = g.viaCostAt(b+1, gcell)
-				cc.viaStale[b][ci] = false
+			}
+		}
+		if cc.full {
+			pfx := cc.viaPfx[ci*g.L:]
+			sum := 0.0
+			pfx[0] = 0
+			for b := 0; b < g.L-1; b++ {
+				sum += cc.viaVal[b][ci]
+				pfx[b+1] = sum
 			}
 		}
 		cc.viaDirty[ci].Store(0)

@@ -29,27 +29,38 @@ func congest(g *Graph, seed int64, n int) {
 	}
 }
 
-// assertCacheMatchesDirect checks every cached wire and via edge against the
-// direct formula. Cached values must be bit-identical: the warmer runs the
-// same code as the fallback.
-func assertCacheMatchesDirect(t *testing.T, g *Graph) {
+// AssertCostCacheMatchesDirect checks every cached wire and via edge
+// against the direct formula at the grid's current state. Cached values
+// must be bit-identical at any time after the first warm, with or without
+// a warm since the last mutation: the warmer and the write-through run the
+// same code as the miss path. Windowed caches are checked over their
+// window. Exported for the external write-through test, which drives the
+// cache through route commits.
+func AssertCostCacheMatchesDirect(t *testing.T, g *Graph) {
 	t.Helper()
 	if !g.CostCacheBuilt() {
 		t.Fatal("cache not built")
 	}
 	for l := 1; l <= g.L; l++ {
-		for i := 0; i < g.numWireEdges(l); i++ {
-			if g.cc.wireStale[l-1][i] {
-				t.Fatalf("layer %d edge %d still stale after warm", l, i)
-			}
-			if got, want := g.cc.wireVal[l-1][i], g.wireCostAt(l, i); got != want {
-				t.Fatalf("layer %d edge %d cached %v != direct %v", l, i, got, want)
+		for y := 0; y < g.H; y++ {
+			for x := 0; x < g.W; x++ {
+				li, _, ok := g.ccWireLocal(l, x, y)
+				if !ok || !g.HasWireEdge(l, x, y) {
+					continue
+				}
+				if got, want := g.cc.wireVal[l-1][li], g.wireCostAt(l, g.wireIndex(l, x, y)); got != want {
+					t.Fatalf("layer %d edge (%d,%d) cached %v != direct %v", l, x, y, got, want)
+				}
 			}
 		}
 	}
 	for b := 0; b < g.L-1; b++ {
 		for cell := 0; cell < g.W*g.H; cell++ {
-			if got, want := g.cc.viaVal[b][cell], g.viaCostAt(b+1, cell); got != want {
+			ci, ok := g.ccViaLocal(cell%g.W, cell/g.W)
+			if !ok {
+				continue
+			}
+			if got, want := g.cc.viaVal[b][ci], g.viaCostAt(b+1, cell); got != want {
 				t.Fatalf("via boundary %d cell %d cached %v != direct %v", b, cell, got, want)
 			}
 		}
@@ -66,7 +77,7 @@ func TestCostCacheExactAfterWarm(t *testing.T) {
 	g := NewFromDesign(d)
 	congest(g, 1, 300)
 	g.WarmCostCache()
-	assertCacheMatchesDirect(t, g)
+	AssertCostCacheMatchesDirect(t, g)
 
 	// The public accessors must serve the cached value.
 	for l := 1; l <= g.L; l++ {
@@ -88,7 +99,8 @@ func TestCostCacheExactAfterWarm(t *testing.T) {
 }
 
 // TestCostCacheInvalidation: demand and history mutations after a warm must
-// be visible immediately (stale fallback) and re-cached by the next warm.
+// be visible immediately (written through to the cache) and leave the
+// cache equal to the direct formula without another warm.
 func TestCostCacheInvalidation(t *testing.T) {
 	g := NewFromDesign(testDesign(5))
 	congest(g, 2, 200)
@@ -102,8 +114,9 @@ func TestCostCacheInvalidation(t *testing.T) {
 		t.Fatal("WireCost unchanged after demand mutation — stale cache served")
 	}
 	if want := g.wireCostAt(1, g.wireIndex(1, 3, 4)); after != want {
-		t.Fatalf("stale fallback %v != direct %v", after, want)
+		t.Fatalf("write-through value %v != direct %v", after, want)
 	}
+	AssertCostCacheMatchesDirect(t, g)
 	// SegCost over the dirty line must fall back to the per-edge walk.
 	var walk float64
 	for x := a.X; x < b.X; x++ {
@@ -118,6 +131,7 @@ func TestCostCacheInvalidation(t *testing.T) {
 	if got := g.ViaStackCost(2, 2, 1, 4); got == vBefore {
 		t.Fatal("ViaStackCost unchanged after via demand mutation")
 	}
+	AssertCostCacheMatchesDirect(t, g)
 
 	// History bumps on overflowed edges invalidate like demand writes.
 	g.EnableHistory()
@@ -128,9 +142,10 @@ func TestCostCacheInvalidation(t *testing.T) {
 	if got := g.WireCost(1, 0, 0); got <= hBefore {
 		t.Fatalf("WireCost %v not increased by history bump (was %v)", got, hBefore)
 	}
+	AssertCostCacheMatchesDirect(t, g)
 
 	g.WarmCostCache()
-	assertCacheMatchesDirect(t, g)
+	AssertCostCacheMatchesDirect(t, g)
 
 	g.InvalidateCostCache()
 	if g.CostCacheBuilt() {
@@ -221,9 +236,9 @@ func TestSegCostsAllLayers(t *testing.T) {
 	}
 }
 
-// TestCostCacheConcurrentWindows exercises the invalidation protocol under
+// TestCostCacheConcurrentWindows exercises the write-through protocol under
 // the disjoint-window discipline: workers mutate demand and read costs only
-// inside their own column band, so the plain stale flags never conflict,
+// inside their own column band, so the plain value writes never conflict,
 // while H-layer rows span every band and force the shared line dirty flags
 // through their atomic path (the -race step watches this).
 func TestCostCacheConcurrentWindows(t *testing.T) {
@@ -256,11 +271,12 @@ func TestCostCacheConcurrentWindows(t *testing.T) {
 	})
 
 	g.WarmCostCache()
-	assertCacheMatchesDirect(t, g)
+	AssertCostCacheMatchesDirect(t, g)
 }
 
-// TestCostCacheCounters: the flight-recorder handles observe hits, misses,
-// invalidations and warmed lines; detaching resets to the nil-safe zero cost.
+// TestCostCacheCounters: the flight-recorder handles observe hits, misses
+// (reads before the first warm), write-through refreshes and warmed lines;
+// detaching resets to the nil-safe zero cost.
 func TestCostCacheCounters(t *testing.T) {
 	g := NewFromDesign(testDesign(5))
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
@@ -281,6 +297,12 @@ func TestCostCacheCounters(t *testing.T) {
 	}
 	g.AddSegDemand(1, geom.Point{X: 1, Y: 1}, geom.Point{X: 2, Y: 1}, 1)
 	if m.Counter(obs.MCostInvalidations).Value() == 0 {
-		t.Fatal("mutation did not count an invalidation")
+		t.Fatal("mutation did not count a write-through refresh")
+	}
+	misses := m.Counter(obs.MCostMisses).Value()
+	g.WireCost(1, 1, 1)
+	g.ViaEdgeCost(1, 1, 1)
+	if m.Counter(obs.MCostMisses).Value() != misses {
+		t.Fatal("read of a mutated edge on a built cache counted a miss")
 	}
 }

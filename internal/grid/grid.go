@@ -83,8 +83,8 @@ type Graph struct {
 	// until EnableHistory.
 	history [][]float32
 
-	// cc is the epoch-invalidated cost-field cache (see costcache.go);
-	// inert until the first WarmCostCache.
+	// cc is the write-through cost-field cache (see costcache.go); inert
+	// until the first WarmCostCache.
 	cc costCache
 }
 
@@ -134,8 +134,8 @@ func NewFromDesignParams(d *design.Design, p CostParams) *Graph {
 // array with g — mutations through either are visible to both — but holding
 // its own cost cache bounded to win. A shard routes through its view: the
 // view's cache stays leaf-sized (the sharded pipeline's peak-memory win)
-// and mutations through the view invalidate the view's cache, never the
-// parent's. The parent's cache must therefore be cold (or invalidated)
+// and mutations through the view write through to the view's cache, never
+// the parent's. The parent's cache must therefore be cold (or invalidated)
 // while views are live; the core pipeline never warms it between view
 // phases. Views are coordinator-created and must not outlive the phase
 // whose mutations they observed.
@@ -222,23 +222,22 @@ func (g *Graph) logistic(dem, cap int32) float64 {
 
 // WireCost is the cost c_w of using one wire edge at (x,y) on layer l,
 // evaluated at the edge's current demand (i.e., the cost of adding one more
-// track through it). With a warm cost cache this is an array load; a stale
-// or unbuilt cache falls back to the direct formula.
+// track through it). With a built cost cache this is an array load; before
+// the first warm, or outside a windowed cache, it evaluates the direct
+// formula.
 func (g *Graph) WireCost(l, x, y int) float64 {
-	i := g.wireIndex(l, x, y)
 	if cc := &g.cc; cc.built {
 		if cc.full {
-			if !cc.wireStale[l-1][i] {
-				cc.hits.Add(1)
-				return cc.wireVal[l-1][i]
-			}
-		} else if li, _, ok := g.ccWireLocal(l, x, y); ok && !cc.wireStale[l-1][li] {
+			cc.hits.Add(1)
+			return cc.wireVal[l-1][g.wireIndex(l, x, y)]
+		}
+		if li, _, ok := g.ccWireLocal(l, x, y); ok {
 			cc.hits.Add(1)
 			return cc.wireVal[l-1][li]
 		}
 	}
 	g.cc.misses.Add(1)
-	return g.wireCostAt(l, i)
+	return g.wireCostAt(l, g.wireIndex(l, x, y))
 }
 
 // SegCost is the cost of a straight wire from a to b on layer l. The segment
@@ -246,8 +245,7 @@ func (g *Graph) WireCost(l, x, y int) float64 {
 // warm cost cache and a clean line this is two prefix-sum reads (the
 // prefix-sum total can differ from the edge-walk total by float rounding;
 // consumers compare segment costs with tolerances); a dirty line falls back
-// to walking the edges, which itself reads per-edge cache entries where
-// they are fresh.
+// to walking the edges, which itself reads the per-edge cache entries.
 func (g *Graph) SegCost(l int, a, b geom.Point) float64 {
 	if a == b {
 		return 0
@@ -289,11 +287,10 @@ func (g *Graph) ViaEdgeCost(x, y, l int) float64 {
 	i := y*g.W + x
 	if cc := &g.cc; cc.built {
 		if cc.full {
-			if !cc.viaStale[l-1][i] {
-				cc.hits.Add(1)
-				return cc.viaVal[l-1][i]
-			}
-		} else if ci, ok := g.ccViaLocal(x, y); ok && !cc.viaStale[l-1][ci] {
+			cc.hits.Add(1)
+			return cc.viaVal[l-1][i]
+		}
+		if ci, ok := g.ccViaLocal(x, y); ok {
 			cc.hits.Add(1)
 			return cc.viaVal[l-1][ci]
 		}
@@ -350,6 +347,12 @@ func (g *Graph) AddSegDemand(l int, a, b geom.Point, delta int) {
 			g.addWireDemand(l, a.X, y, d)
 		}
 	}
+}
+
+// AddWireEdgeDemand adds delta tracks of demand to the single wire edge at
+// (x,y) on layer l, with AddSegDemand's underflow check.
+func (g *Graph) AddWireEdgeDemand(l, x, y, delta int) {
+	g.addWireDemand(l, x, y, int32(delta))
 }
 
 func (g *Graph) addWireDemand(l, x, y int, delta int32) {

@@ -165,20 +165,22 @@ func (s *Search) SetObserver(o *obs.Observer) {
 }
 
 // bind points the scratch at a grid and window, growing the node arrays as
-// needed. Entries surviving from earlier windows are invalidated by their
-// stale stamps, never by clearing.
+// needed: geometrically, so a run of ever larger windows reallocates a
+// logarithmic number of times, but never past the whole grid's node count.
+// Entries surviving from earlier windows are invalidated by their stale
+// stamps, never by clearing.
 func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 	s.g, s.win = g, win
 	s.ww, s.wh = win.Width(), win.Height()
 	n := s.ww * s.wh * g.L
 	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.parent = make([]int32, n)
-		s.visited = make([]bool, n)
-		s.stamp = make([]uint32, n)
-		s.connStamp = make([]uint32, n)
-		s.targStamp = make([]uint32, n)
-		return
+		c := geom.Max(n, geom.Min(2*cap(s.dist), g.W*g.H*g.L))
+		s.dist = make([]float64, c)
+		s.parent = make([]int32, c)
+		s.visited = make([]bool, c)
+		s.stamp = make([]uint32, c)
+		s.connStamp = make([]uint32, c)
+		s.targStamp = make([]uint32, c)
 	}
 	s.dist = s.dist[:n]
 	s.parent = s.parent[:n]
@@ -189,13 +191,12 @@ func (s *Search) bind(g *grid.Graph, win geom.Rect) {
 }
 
 // bumpEpoch advances an epoch counter, clearing the backing array on the
-// (once per 2^32 uses) wrap so stale stamps can never collide.
+// (once per 2^32 uses) wrap so stale stamps can never collide. The clear
+// covers the whole capacity: a later, larger window reslices into it.
 func bumpEpoch(e *uint32, arr []uint32) {
 	*e++
 	if *e == 0 {
-		for i := range arr {
-			arr[i] = 0
-		}
+		clear(arr[:cap(arr)])
 		*e = 1
 	}
 }

@@ -81,13 +81,13 @@ var promTable = map[string]PromMapping{
 	MRRROverflow: {Family: "fastgr_rrr_overflow",
 		Help: "Total overflow (shorts) after the latest committed iteration."},
 	MCostHits: {Family: "fastgr_grid_cost_reads",
-		Help:   "Cost-field queries, split by cache outcome.",
+		Help:   "Cost-field queries, split by cache outcome; a miss is a read before the first warm or outside a windowed cache.",
 		Labels: []PromLabel{{"result", "hit"}}},
 	MCostMisses: {Family: "fastgr_grid_cost_reads",
-		Help:   "Cost-field queries, split by cache outcome.",
+		Help:   "Cost-field queries, split by cache outcome; a miss is a read before the first warm or outside a windowed cache.",
 		Labels: []PromLabel{{"result", "miss"}}},
 	MCostInvalidations: {Family: "fastgr_grid_cost_invalidations",
-		Help: "Per-edge cost-cache invalidations from demand or history mutation."},
+		Help: "Per-edge cost-cache write-through refreshes from demand or history mutation."},
 	MCostWarms: {Family: "fastgr_grid_cost_warmed_lines",
 		Help: "Lines and cells rebuilt by WarmCostCache."},
 	MFaultInjected: {Family: "fastgr_fault_events",

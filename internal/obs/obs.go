@@ -98,11 +98,11 @@ const (
 	// MCostHits counts cost-cache fast-path reads (wire, via, segment and
 	// stack queries answered from the materialized cost field).
 	MCostHits = "grid.cost.hits"
-	// MCostMisses counts cost reads that fell back to the direct formula
-	// (unbuilt cache, stale edge or dirty line).
+	// MCostMisses counts per-edge cost reads that evaluated the direct
+	// formula: reads before the first warm, or outside a windowed cache.
 	MCostMisses = "grid.cost.misses"
-	// MCostInvalidations counts per-edge cache invalidations caused by
-	// demand or history mutation.
+	// MCostInvalidations counts per-edge write-through refreshes: each
+	// demand or history mutation stores the edge's fresh cost.
 	MCostInvalidations = "grid.cost.invalidations"
 	// MCostWarms counts lines/cells rebuilt by Graph.WarmCostCache.
 	MCostWarms = "grid.cost.warmed_lines"

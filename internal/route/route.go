@@ -7,6 +7,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"fastgr/internal/geom"
 	"fastgr/internal/grid"
@@ -105,30 +106,55 @@ type NetRoute struct {
 	NetID int
 	Paths []Path
 
-	// committed caches the canonical edge sets at commit time so Uncommit
-	// releases exactly what Commit acquired even if Paths changed since.
+	// committedWires/committedVias are the canonical edge sets computed
+	// once, at commit time. Uncommit releases exactly what Commit acquired
+	// even if Paths changed since, and the committed route's Wirelength,
+	// ViaCount and HasOverflow read them instead of recomputing.
 	committedWires []wireKey
 	committedVias  []viaKey
 }
 
-type wireKey struct{ layer, x, y int }
-type viaKey struct{ x, y, l int }
+// wireKey packs a wire edge (layer, x, y) and viaKey a via edge (x, y,
+// boundary l) into one word, so canonical sets sort as plain integers in
+// (layer, x, y) and (x, y, l) order.
+type wireKey uint64
+type viaKey uint64
 
-// canonical flattens Paths into distinct wire-edge and via-edge sets.
-// The slices are built in first-insertion order — a pure function of
-// Paths — rather than by ranging over the dedup maps, so the canonical
-// edge lists are deterministic (detmap).
+// keyBits is the width of the two low fields; the high field gets the
+// remaining 64-2*keyBits bits.
+const keyBits = 24
+
+func packKey(hi, mid, lo int) uint64 {
+	if uint(hi) >= 1<<(64-2*keyBits) || uint(mid) >= 1<<keyBits || uint(lo) >= 1<<keyBits {
+		panic(fmt.Sprintf("route: edge coordinate (%d,%d,%d) out of range", hi, mid, lo))
+	}
+	return uint64(hi)<<(2*keyBits) | uint64(mid)<<keyBits | uint64(lo)
+}
+
+func unpackKey(k uint64) (hi, mid, lo int) {
+	const mask = 1<<keyBits - 1
+	return int(k >> (2 * keyBits)), int(k >> keyBits & mask), int(k & mask)
+}
+
+func (k wireKey) edge() (layer, x, y int) { return unpackKey(uint64(k)) }
+func (k viaKey) edge() (x, y, l int)      { return unpackKey(uint64(k)) }
+
+// canonical flattens Paths into its distinct wire-edge and via-edge sets,
+// each sorted ascending: every edge is written into one exact-size slice,
+// which is then sorted and compacted. The result is a pure function of
+// Paths, so the edge lists are deterministic (detmap).
 func (r *NetRoute) canonical(g *grid.Graph) ([]wireKey, []viaKey) {
-	wires := make(map[wireKey]struct{})
-	vias := make(map[viaKey]struct{})
-	var wk []wireKey
-	var vk []viaKey
-	addWire := func(k wireKey) {
-		if _, dup := wires[k]; !dup {
-			wires[k] = struct{}{}
-			wk = append(wk, k)
+	nw, nv := 0, 0
+	for _, p := range r.Paths {
+		for _, s := range p.Segs {
+			nw += geom.Abs(s.A.X-s.B.X) + geom.Abs(s.A.Y-s.B.Y)
+		}
+		for _, v := range p.Vias {
+			nv += v.L2 - v.L1
 		}
 	}
+	wk := make([]wireKey, 0, nw)
+	vk := make([]viaKey, 0, nv)
 	for _, p := range r.Paths {
 		for _, s := range p.Segs {
 			if g.Dir(s.Layer) == grid.Horizontal {
@@ -137,7 +163,7 @@ func (r *NetRoute) canonical(g *grid.Graph) ([]wireKey, []viaKey) {
 				}
 				lo, hi := geom.Min(s.A.X, s.B.X), geom.Max(s.A.X, s.B.X)
 				for x := lo; x < hi; x++ {
-					addWire(wireKey{s.Layer, x, s.A.Y})
+					wk = append(wk, wireKey(packKey(s.Layer, x, s.A.Y)))
 				}
 			} else {
 				if s.A.X != s.B.X {
@@ -145,21 +171,28 @@ func (r *NetRoute) canonical(g *grid.Graph) ([]wireKey, []viaKey) {
 				}
 				lo, hi := geom.Min(s.A.Y, s.B.Y), geom.Max(s.A.Y, s.B.Y)
 				for y := lo; y < hi; y++ {
-					addWire(wireKey{s.Layer, s.A.X, y})
+					wk = append(wk, wireKey(packKey(s.Layer, s.A.X, y)))
 				}
 			}
 		}
 		for _, v := range p.Vias {
 			for l := v.L1; l < v.L2; l++ {
-				k := viaKey{v.X, v.Y, l}
-				if _, dup := vias[k]; !dup {
-					vias[k] = struct{}{}
-					vk = append(vk, k)
-				}
+				vk = append(vk, viaKey(packKey(v.X, v.Y, l)))
 			}
 		}
 	}
-	return wk, vk
+	slices.Sort(wk)
+	slices.Sort(vk)
+	return slices.Compact(wk), slices.Compact(vk)
+}
+
+// edges returns the route's canonical sets: the commit-time ones while the
+// route is committed, a fresh computation from Paths otherwise.
+func (r *NetRoute) edges(g *grid.Graph) ([]wireKey, []viaKey) {
+	if r.Committed() {
+		return r.committedWires, r.committedVias
+	}
+	return r.canonical(g)
 }
 
 // Committed reports whether the route currently holds grid demand.
@@ -173,18 +206,7 @@ func (r *NetRoute) Commit(g *grid.Graph) {
 		panic(fmt.Sprintf("route: net %d committed twice", r.NetID))
 	}
 	wk, vk := r.canonical(g)
-	for _, k := range wk {
-		g.AddSegDemand(k.layer, geom.Point{X: k.x, Y: k.y}, stepEnd(g, k), 1)
-	}
-	for _, k := range vk {
-		g.AddViaStackDemand(k.x, k.y, k.l, k.l+1, 1)
-	}
-	if wk == nil {
-		wk = []wireKey{}
-	}
-	if vk == nil {
-		vk = []viaKey{}
-	}
+	addDemand(g, wk, vk, 1)
 	r.committedWires, r.committedVias = wk, vk
 }
 
@@ -193,34 +215,35 @@ func (r *NetRoute) Uncommit(g *grid.Graph) {
 	if !r.Committed() {
 		panic(fmt.Sprintf("route: net %d uncommitted while not committed", r.NetID))
 	}
-	for _, k := range r.committedWires {
-		g.AddSegDemand(k.layer, geom.Point{X: k.x, Y: k.y}, stepEnd(g, k), -1)
-	}
-	for _, k := range r.committedVias {
-		g.AddViaStackDemand(k.x, k.y, k.l, k.l+1, -1)
-	}
+	addDemand(g, r.committedWires, r.committedVias, -1)
 	r.committedWires, r.committedVias = nil, nil
 }
 
-func stepEnd(g *grid.Graph, k wireKey) geom.Point {
-	if g.Dir(k.layer) == grid.Horizontal {
-		return geom.Point{X: k.x + 1, Y: k.y}
+func addDemand(g *grid.Graph, wk []wireKey, vk []viaKey, delta int) {
+	for _, k := range wk {
+		l, x, y := k.edge()
+		g.AddWireEdgeDemand(l, x, y, delta)
 	}
-	return geom.Point{X: k.x, Y: k.y + 1}
+	for _, k := range vk {
+		x, y, l := k.edge()
+		g.AddViaStackDemand(x, y, l, l+1, delta)
+	}
 }
 
 // HasOverflow reports whether any wire or via edge the route occupies is
 // currently over capacity — the criterion that sends a net into the rip-up
 // and reroute iterations.
 func (r *NetRoute) HasOverflow(g *grid.Graph) bool {
-	wk, vk := r.canonical(g)
+	wk, vk := r.edges(g)
 	for _, k := range wk {
-		if g.WireDem(k.layer, k.x, k.y) > g.WireCap(k.layer, k.x, k.y) {
+		l, x, y := k.edge()
+		if g.WireDem(l, x, y) > g.WireCap(l, x, y) {
 			return true
 		}
 	}
 	for _, k := range vk {
-		if g.ViaDem(k.x, k.y, k.l) > g.ViaCap(k.l) {
+		x, y, l := k.edge()
+		if g.ViaDem(x, y, l) > g.ViaCap(l) {
 			return true
 		}
 	}
@@ -245,19 +268,21 @@ func (r *NetRoute) Cost(g *grid.Graph) float64 {
 
 // Wirelength returns the number of distinct wire edges the route uses.
 func (r *NetRoute) Wirelength(g *grid.Graph) int {
-	wk, _ := r.canonical(g)
+	wk, _ := r.edges(g)
 	return len(wk)
 }
 
 // ViaCount returns the number of distinct via edges the route uses.
 func (r *NetRoute) ViaCount(g *grid.Graph) int {
-	_, vk := r.canonical(g)
+	_, vk := r.edges(g)
 	return len(vk)
 }
 
 // Validate checks that the routed geometry is connected and reaches every
 // pin of the net at its pin layer. pins is the list of (position, layer)
-// terminals, e.g. from the design net.
+// terminals, e.g. from the design net. It always recomputes the edge sets
+// from Paths, never trusting the commit-time ones: it is the correctness
+// check.
 func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
 	wk, vk := r.canonical(g)
 	// Union-find over 3-D grid nodes touched by the route.
@@ -281,19 +306,19 @@ func (r *NetRoute) Validate(g *grid.Graph, pins []geom.Point3) error {
 		return i
 	}
 	for _, k := range wk {
-		a := geom.Point3{X: k.x, Y: k.y, Layer: k.layer}
-		var b geom.Point3
-		if g.Dir(k.layer) == grid.Horizontal {
-			b = geom.Point3{X: k.x + 1, Y: k.y, Layer: k.layer}
+		l, x, y := k.edge()
+		a := geom.Point3{X: x, Y: y, Layer: l}
+		b := a
+		if g.Dir(l) == grid.Horizontal {
+			b.X++
 		} else {
-			b = geom.Point3{X: k.x, Y: k.y + 1, Layer: k.layer}
+			b.Y++
 		}
 		union(node(a), node(b))
 	}
 	for _, k := range vk {
-		a := geom.Point3{X: k.x, Y: k.y, Layer: k.l}
-		b := geom.Point3{X: k.x, Y: k.y, Layer: k.l + 1}
-		union(node(a), node(b))
+		x, y, l := k.edge()
+		union(node(geom.Point3{X: x, Y: y, Layer: l}), node(geom.Point3{X: x, Y: y, Layer: l + 1}))
 	}
 	if len(pins) == 0 {
 		return nil

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fastgr/internal/design"
@@ -103,12 +104,16 @@ type Task struct {
 // accepted boxes.
 func ExtractBatches(tasks []Task) [][]Task {
 	occ := newBinnedOccupancy(taskBounds(tasks))
+	// Batches partition the task list, so they are consecutive runs of one
+	// array; the tasks deferred by a pass ping-pong between two buffers.
+	out := make([]Task, len(tasks))
 	remaining := append([]Task(nil), tasks...)
+	spare := make([]Task, 0, len(tasks))
 	var batches [][]Task
-	for len(remaining) > 0 {
+	for off := 0; len(remaining) > 0; {
 		occ.reset()
-		var batch []Task
-		var rest []Task
+		batch := out[off:off:len(out)]
+		rest := spare[:0]
 		for _, t := range remaining {
 			if occ.conflicts(t.BBox) {
 				rest = append(rest, t)
@@ -117,8 +122,9 @@ func ExtractBatches(tasks []Task) [][]Task {
 			batch = append(batch, t)
 			occ.add(t.BBox)
 		}
-		batches = append(batches, batch)
-		remaining = rest
+		batches = append(batches, batch[:len(batch):len(batch)])
+		off += len(batch)
+		spare, remaining = remaining, rest
 	}
 	return batches
 }
@@ -172,17 +178,26 @@ func (o *binnedOccupancy) reset() {
 	}
 }
 
+// binSpan returns the inclusive ranges of 16x16 G-cell bins r touches in a
+// binsX x binsY bin grid; a range is empty (lo > hi) when r misses the grid.
+func binSpan(r geom.Rect, binsX, binsY int) (x0, x1, y0, y1 int) {
+	return geom.Max(0, r.Lo.X>>binShift), geom.Min(r.Hi.X>>binShift, binsX-1),
+		geom.Max(0, r.Lo.Y>>binShift), geom.Min(r.Hi.Y>>binShift, binsY-1)
+}
+
 func (o *binnedOccupancy) add(r geom.Rect) {
-	for by := geom.Max(0, r.Lo.Y>>binShift); by <= (r.Hi.Y>>binShift) && by < o.binsY; by++ {
-		for bx := geom.Max(0, r.Lo.X>>binShift); bx <= (r.Hi.X>>binShift) && bx < o.binsX; bx++ {
+	x0, x1, y0, y1 := binSpan(r, o.binsX, o.binsY)
+	for by := y0; by <= y1; by++ {
+		for bx := x0; bx <= x1; bx++ {
 			o.bins[by*o.binsX+bx] = append(o.bins[by*o.binsX+bx], r)
 		}
 	}
 }
 
 func (o *binnedOccupancy) conflicts(r geom.Rect) bool {
-	for by := geom.Max(0, r.Lo.Y>>binShift); by <= (r.Hi.Y>>binShift) && by < o.binsY; by++ {
-		for bx := geom.Max(0, r.Lo.X>>binShift); bx <= (r.Hi.X>>binShift) && bx < o.binsX; bx++ {
+	x0, x1, y0, y1 := binSpan(r, o.binsX, o.binsY)
+	for by := y0; by <= y1; by++ {
+		for bx := x0; bx <= x1; bx++ {
 			for _, b := range o.bins[by*o.binsX+bx] {
 				if r.Overlaps(b) {
 					return true
@@ -194,7 +209,8 @@ func (o *binnedOccupancy) conflicts(r geom.Rect) bool {
 }
 
 // Graph is the oriented task graph: Succ[i] lists the tasks that must wait
-// for task i, Indegree[i] the number of tasks i waits for.
+// for task i in ascending task order, Indegree[i] the number of tasks i
+// waits for.
 type Graph struct {
 	Tasks    []Task
 	Succ     [][]int
@@ -212,89 +228,141 @@ type Graph struct {
 // is the first Algorithm-1 batch. The result is acyclic by construction:
 // every edge either leaves the root batch or goes from a smaller to a larger
 // ID.
+//
+// Tasks are walked in order over the 16x16 G-cell bins. Each task tests
+// only the later tasks sharing one of its bins, and a per-task last-seen
+// stamp makes a pair that shares several bins cost one overlap test, so no
+// candidate pair list is ever materialised, sorted or deduplicated. The
+// root batch falls out of the same walk: a task joins it unless an earlier
+// root task overlaps it, which is exactly the greedy Algorithm-1 pass.
 func BuildGraph(tasks []Task, gridW, gridH int) *Graph {
+	n := len(tasks)
 	g := &Graph{
 		Tasks:     tasks,
-		Succ:      make([][]int, len(tasks)),
-		Indegree:  make([]int, len(tasks)),
-		RootBatch: make([]bool, len(tasks)),
+		Succ:      make([][]int, n),
+		Indegree:  make([]int, n),
+		RootBatch: make([]bool, n),
 	}
-	// Root batch: greedy independent set in task order (Algorithm 1, one
-	// pass), with binned conflict checks.
-	occ := newBinnedOccupancy(gridW, gridH)
-	for i, t := range tasks {
-		if !occ.conflicts(t.BBox) {
-			g.RootBatch[i] = true
-			occ.add(t.BBox)
+	bins := newTaskBins(tasks, gridW, gridH)
+	// later holds, per task i, its overlapping tasks j > i in ascending
+	// order: the run later[start[i]:start[i+1]].
+	start := make([]int32, n+1)
+	var later []int32
+	seen := make([]int32, n) // seen[j] == i+1: j already tested against i
+	// A task stays in the root batch unless an earlier root task overlaps
+	// it; by the time the walk reaches task i its flag is final.
+	for i := range g.RootBatch {
+		g.RootBatch[i] = true
+	}
+	for i := range tasks {
+		r := tasks[i].BBox
+		stamp := int32(i) + 1
+		from := len(later)
+		nbins := 0
+		bins.each(r, func(b int) {
+			nbins++
+			// The bin lists tasks in ascending order and every earlier
+			// task in it has advanced the cursor, so the cursor sits on i.
+			c := bins.cursor[b]
+			bins.cursor[b]++
+			for _, j := range bins.tasks[c+1 : bins.start[b+1]] {
+				if seen[j] == stamp {
+					continue
+				}
+				seen[j] = stamp
+				if r.Overlaps(tasks[j].BBox) {
+					later = append(later, j)
+				}
+			}
+		})
+		mine := later[from:]
+		if nbins > 1 {
+			slices.Sort(mine)
+		}
+		start[i+1] = int32(len(later))
+		if g.RootBatch[i] {
+			for _, j := range mine {
+				g.RootBatch[j] = false
+			}
 		}
 	}
-	for _, pair := range conflictPairs(tasks, gridW, gridH) {
-		i, j := pair[0], pair[1]
-		var from, to int
-		switch {
-		case g.RootBatch[i]:
-			from, to = i, j
-		case g.RootBatch[j]:
-			from, to = j, i
-		case i < j:
-			from, to = i, j
-		default:
-			from, to = j, i
+
+	// Orient, count, then fill one backing array. Pairs are visited in
+	// (i, j) order, so every Succ list comes out ascending: a task's
+	// successors below it (it is root, they are not) all precede the ones
+	// above it.
+	outdeg := make([]int, n)
+	orient := func(i, j int) (int, int) {
+		if g.RootBatch[j] && !g.RootBatch[i] {
+			return j, i
 		}
-		g.Succ[from] = append(g.Succ[from], to)
-		g.Indegree[to]++
-		g.Edges++
+		return i, j
+	}
+	for i := 0; i < n; i++ {
+		for _, j := range later[start[i]:start[i+1]] {
+			from, to := orient(i, int(j))
+			outdeg[from]++
+			g.Indegree[to]++
+		}
+	}
+	g.Edges = len(later)
+	backing := make([]int, len(later))
+	off := 0
+	for i, k := range outdeg {
+		if k > 0 {
+			g.Succ[i] = backing[off : off : off+k]
+			off += k
+		}
+	}
+	for i := 0; i < n; i++ {
+		for _, j := range later[start[i]:start[i+1]] {
+			from, to := orient(i, int(j))
+			g.Succ[from] = append(g.Succ[from], to)
+		}
 	}
 	return g
 }
 
-// conflictPairs finds all overlapping bbox pairs via binning: tasks are
-// registered in coarse grid bins; only pairs sharing a bin are tested. A
-// pair spanning several bins surfaces once per shared bin, so candidates are
-// deduplicated by sort-then-compact — cheaper than the map the construction
-// previously used, which dominated allocation on dense designs.
-func conflictPairs(tasks []Task, gridW, gridH int) [][2]int {
+// taskBins registers every task in each 16x16 G-cell bin its bbox touches,
+// in one flat array: bin b lists tasks[start[b]:start[b+1]] in ascending
+// task order. cursor[b] is BuildGraph's walk position in bin b.
+type taskBins struct {
+	binsX, binsY int
+	start        []int32
+	tasks        []int32
+	cursor       []int32
+}
+
+func newTaskBins(tasks []Task, gridW, gridH int) *taskBins {
 	binsX := (geom.Max(gridW, 1) >> binShift) + 1
 	binsY := (geom.Max(gridH, 1) >> binShift) + 1
-	bins := make([][]int, binsX*binsY)
+	tb := &taskBins{binsX: binsX, binsY: binsY, start: make([]int32, binsX*binsY+1)}
+	for _, t := range tasks {
+		tb.each(t.BBox, func(b int) { tb.start[b+1]++ })
+	}
+	for b := 1; b < len(tb.start); b++ {
+		tb.start[b] += tb.start[b-1]
+	}
+	tb.tasks = make([]int32, tb.start[len(tb.start)-1])
+	tb.cursor = append([]int32(nil), tb.start[:binsX*binsY]...)
 	for i, t := range tasks {
-		r := t.BBox
-		for by := geom.Max(0, r.Lo.Y>>binShift); by <= (r.Hi.Y>>binShift) && by < binsY; by++ {
-			for bx := geom.Max(0, r.Lo.X>>binShift); bx <= (r.Hi.X>>binShift) && bx < binsX; bx++ {
-				bins[by*binsX+bx] = append(bins[by*binsX+bx], i)
-			}
+		tb.each(t.BBox, func(b int) {
+			tb.tasks[tb.cursor[b]] = int32(i)
+			tb.cursor[b]++
+		})
+	}
+	copy(tb.cursor, tb.start)
+	return tb
+}
+
+// each calls f with every bin index r touches, row by row.
+func (tb *taskBins) each(r geom.Rect, f func(b int)) {
+	x0, x1, y0, y1 := binSpan(r, tb.binsX, tb.binsY)
+	for by := y0; by <= y1; by++ {
+		for bx := x0; bx <= x1; bx++ {
+			f(by*tb.binsX + bx)
 		}
 	}
-	var pairs [][2]int
-	for _, bin := range bins {
-		for a := 0; a < len(bin); a++ {
-			for b := a + 1; b < len(bin); b++ {
-				i, j := bin[a], bin[b]
-				if i > j {
-					i, j = j, i
-				}
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	out := pairs[:0]
-	prev := [2]int{-1, -1}
-	for _, p := range pairs {
-		if p == prev {
-			continue
-		}
-		prev = p
-		if tasks[p[0]].BBox.Overlaps(tasks[p[1]].BBox) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // TopoOrder returns a topological order of the graph; it panics if the

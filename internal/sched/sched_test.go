@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -233,7 +236,13 @@ func TestConflictPairsCompleteness(t *testing.T) {
 		taskAt(3, geom.Point{X: 0, Y: 1}, geom.Point{X: 1, Y: 90}),
 		taskAt(4, geom.Point{X: 54, Y: 54}, geom.Point{X: 60, Y: 60}),
 	}
-	got := conflictPairs(tasks, 100, 100)
+	g := BuildGraph(tasks, 100, 100)
+	got := map[[2]int]bool{}
+	for from, succ := range g.Succ {
+		for _, to := range succ {
+			got[[2]int{geom.Min(from, to), geom.Max(from, to)}] = true
+		}
+	}
 	want := map[[2]int]bool{}
 	for i := range tasks {
 		for j := i + 1; j < len(tasks); j++ {
@@ -242,14 +251,177 @@ func TestConflictPairsCompleteness(t *testing.T) {
 			}
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("binned pairs %v != brute-force %v", got, want)
+	if g.Edges != len(want) || len(got) != len(want) {
+		t.Fatalf("binned pairs %v (%d edges) != brute-force %v", got, g.Edges, want)
 	}
-	for _, p := range got {
+	for p := range got {
 		if !want[p] {
 			t.Fatalf("spurious pair %v", p)
 		}
 	}
+}
+
+// refBuildGraph is the conflict-graph construction BuildGraph replaced,
+// kept verbatim as the equivalence reference: a binned root batch, then
+// every same-bin pair materialised, sorted, deduplicated and oriented.
+func refBuildGraph(tasks []Task, gridW, gridH int) *Graph {
+	g := &Graph{
+		Tasks:     tasks,
+		Succ:      make([][]int, len(tasks)),
+		Indegree:  make([]int, len(tasks)),
+		RootBatch: make([]bool, len(tasks)),
+	}
+	occ := newBinnedOccupancy(gridW, gridH)
+	for i, t := range tasks {
+		if !occ.conflicts(t.BBox) {
+			g.RootBatch[i] = true
+			occ.add(t.BBox)
+		}
+	}
+	for _, pair := range refConflictPairs(tasks, gridW, gridH) {
+		i, j := pair[0], pair[1]
+		var from, to int
+		switch {
+		case g.RootBatch[i]:
+			from, to = i, j
+		case g.RootBatch[j]:
+			from, to = j, i
+		case i < j:
+			from, to = i, j
+		default:
+			from, to = j, i
+		}
+		g.Succ[from] = append(g.Succ[from], to)
+		g.Indegree[to]++
+		g.Edges++
+	}
+	return g
+}
+
+func refConflictPairs(tasks []Task, gridW, gridH int) [][2]int {
+	binsX := (geom.Max(gridW, 1) >> binShift) + 1
+	binsY := (geom.Max(gridH, 1) >> binShift) + 1
+	bins := make([][]int, binsX*binsY)
+	for i, t := range tasks {
+		r := t.BBox
+		for by := geom.Max(0, r.Lo.Y>>binShift); by <= (r.Hi.Y>>binShift) && by < binsY; by++ {
+			for bx := geom.Max(0, r.Lo.X>>binShift); bx <= (r.Hi.X>>binShift) && bx < binsX; bx++ {
+				bins[by*binsX+bx] = append(bins[by*binsX+bx], i)
+			}
+		}
+	}
+	var pairs [][2]int
+	for _, bin := range bins {
+		for a := 0; a < len(bin); a++ {
+			for b := a + 1; b < len(bin); b++ {
+				i, j := bin[a], bin[b]
+				if i > j {
+					i, j = j, i
+				}
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a][0] != pairs[b][0] {
+			return pairs[a][0] < pairs[b][0]
+		}
+		return pairs[a][1] < pairs[b][1]
+	})
+	out := pairs[:0]
+	prev := [2]int{-1, -1}
+	for _, p := range pairs {
+		if p == prev {
+			continue
+		}
+		prev = p
+		if tasks[p[0]].BBox.Overlaps(tasks[p[1]].BBox) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// AssertGraphMatchesReference fails t unless BuildGraph and the reference
+// construction agree on every Succ list (order included), Indegree,
+// RootBatch and Edges. Exported for the external test that feeds it real
+// rip-up task lists.
+func AssertGraphMatchesReference(t *testing.T, tasks []Task, gridW, gridH int) {
+	t.Helper()
+	got, want := BuildGraph(tasks, gridW, gridH), refBuildGraph(tasks, gridW, gridH)
+	if got.Edges != want.Edges {
+		t.Fatalf("%d tasks: edges %d, reference %d", len(tasks), got.Edges, want.Edges)
+	}
+	if !reflect.DeepEqual(got.RootBatch, want.RootBatch) {
+		t.Fatalf("%d tasks: root batch differs from reference", len(tasks))
+	}
+	if !reflect.DeepEqual(got.Indegree, want.Indegree) {
+		t.Fatalf("%d tasks: indegrees differ from reference", len(tasks))
+	}
+	for i := range want.Succ {
+		if !reflect.DeepEqual(got.Succ[i], want.Succ[i]) {
+			t.Fatalf("%d tasks: Succ[%d] = %v, reference %v", len(tasks), i, got.Succ[i], want.Succ[i])
+		}
+	}
+}
+
+// TestBuildGraphMatchesReference checks BuildGraph against the frozen
+// pair-materialising construction on random task sets: dense overlapping
+// clusters, long boxes straddling many bins, degenerate point and line
+// boxes, and boxes running past the grid edge.
+func TestBuildGraphMatchesReference(t *testing.T) {
+	AssertGraphMatchesReference(t, nil, 10, 10)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		gridW, gridH := 1+rng.Intn(120), 1+rng.Intn(120)
+		tasks := make([]Task, rng.Intn(300))
+		for i := range tasks {
+			lo := geom.Point{X: rng.Intn(gridW), Y: rng.Intn(gridH)}
+			var hi geom.Point
+			switch rng.Intn(4) {
+			case 0: // small, overlapping cluster boxes
+				hi = geom.Point{X: lo.X + rng.Intn(6), Y: lo.Y + rng.Intn(6)}
+			case 1: // long boxes straddling bins, possibly past the edge
+				hi = geom.Point{X: lo.X + rng.Intn(80), Y: lo.Y + rng.Intn(80)}
+			case 2: // degenerate: a point
+				hi = lo
+			default: // degenerate: a one-cell-wide line
+				if rng.Intn(2) == 0 {
+					hi = geom.Point{X: lo.X, Y: lo.Y + rng.Intn(40)}
+				} else {
+					hi = geom.Point{X: lo.X + rng.Intn(40), Y: lo.Y}
+				}
+			}
+			tasks[i] = taskAt(i, lo, hi)
+		}
+		AssertGraphMatchesReference(t, tasks, gridW, gridH)
+		if got, want := ExtractBatches(tasks), refExtractBatches(tasks); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ExtractBatches differs from reference", trial)
+		}
+	}
+}
+
+// refExtractBatches is ExtractBatches before its storage reuse.
+func refExtractBatches(tasks []Task) [][]Task {
+	occ := newBinnedOccupancy(taskBounds(tasks))
+	remaining := append([]Task(nil), tasks...)
+	var batches [][]Task
+	for len(remaining) > 0 {
+		occ.reset()
+		var batch []Task
+		var rest []Task
+		for _, t := range remaining {
+			if occ.conflicts(t.BBox) {
+				rest = append(rest, t)
+				continue
+			}
+			batch = append(batch, t)
+			occ.add(t.BBox)
+		}
+		batches = append(batches, batch)
+		remaining = rest
+	}
+	return batches
 }
 
 func TestGraphOnGeneratedDesign(t *testing.T) {

@@ -11,8 +11,8 @@
 #                 under fault injection at 1/2/8 workers), the taskflow
 #                 executor, the concurrent obs recorders, sched + maze, which
 #                 run under the pool from core's parallel sections, grid,
-#                 whose cost-cache invalidation flags are mutated from
-#                 concurrent rip-up windows, fault, the containment
+#                 whose cost-cache values and dirty flags are written
+#                 from concurrent rip-up windows, fault, the containment
 #                 layer whose counters are hit from every worker, and
 #                 shard, whose plans and splits are read from every leaf
 #                 slot (core's TestShardDeterminism drives the sharded
@@ -23,6 +23,10 @@
 #                 and serve, the fastgrd job pipeline whose overload
 #                 test saturates admission, cancels mid-run jobs and
 #                 drains while HTTP clients hammer the handlers
+#   e2ebench    — vet + tests of the end-to-end benchmark, its own module
+#                 (run with run.sh's toolchain environment): catches a
+#                 break in any layer API the benchmark calls and any drift
+#                 between core.Route and the benchmark's traced replay
 #   lint        — fastgrlint, the static invariant net (determinism +
 #                 passive observability + recover-hygiene contracts, plus
 #                 the interprocedural flow checks: walltaint, writeroute,
@@ -82,6 +86,7 @@ step vet        go vet -tests=true ./...
 step build      go build ./...
 step test       go test ./...
 step race       go test -race ./internal/par ./internal/core ./internal/taskflow ./internal/obs ./internal/obs/prom ./internal/obs/opsrv ./internal/sched ./internal/maze ./internal/grid ./internal/fault ./internal/shard ./internal/serve
+step e2ebench   sh -c 'cd e2ebench && export GOTOOLCHAIN=local GOPROXY=off GOWORK=off && go vet ./... && go test ./...'
 step lint       go run ./cmd/fastgrlint -fmt ./...
 step lint-self  go run ./cmd/fastgrlint -self
 step bench-obs  go run ./cmd/benchgen -obs -o BENCH_obs.json
