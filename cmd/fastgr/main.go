@@ -45,8 +45,8 @@ func main() {
 		noSel      = flag.Bool("no-selection", false, "apply the hybrid kernel to every net (FastGRH only)")
 		guides     = flag.String("guides", "", "write routing guides to this file")
 		evalDR     = flag.Bool("dr", false, "evaluate the solution with the detailed-routing track assigner")
-		workers    = flag.Int("exec-workers", 0, "host worker goroutines executing the router (0 = library default); never changes the reported result")
-		shards     = flag.Int("shards", 0, "spatial shard count: route leaf regions concurrently against windowed cost caches (0 = monolithic pipeline; any count >= 1 yields identical output)")
+		workers    = flag.Int("exec-workers", 0, "host worker goroutines executing the router, at most 1024 (0 = library default); never changes the reported result")
+		shards     = flag.Int("shards", 0, "spatial shard count: route leaf regions concurrently against windowed cost caches (0 = one leaf covering the grid; any count >= 1 yields identical output)")
 		mazeAlg    = flag.String("maze-alg", "astar", "maze search algorithm: astar | dijkstra (identical geometry, different expansion counts)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event timeline to this file (open at ui.perfetto.dev)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry and report as JSON to this file")
@@ -63,11 +63,11 @@ func main() {
 	if *inFile == "" && (*scale <= 0 || *scale > 1) {
 		fatal(fmt.Errorf("-scale %v outside (0,1] — benchmarks are generated at a fraction of full size", *scale))
 	}
-	if *workers < 0 {
-		fatal(fmt.Errorf("-exec-workers %d is negative (use 0 for the library default)", *workers))
+	if *workers < 0 || *workers > 1024 {
+		fatal(fmt.Errorf("-exec-workers %d outside [0, 1024] (0 = library default)", *workers))
 	}
 	if *shards < 0 || *shards > 4096 {
-		fatal(fmt.Errorf("-shards %d outside [0, 4096] (0 = monolithic pipeline)", *shards))
+		fatal(fmt.Errorf("-shards %d outside [0, 4096] (0 = one whole-grid leaf)", *shards))
 	}
 
 	d, err := loadDesign(*inFile, *designName, *scale)

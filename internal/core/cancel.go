@@ -6,13 +6,17 @@ import (
 )
 
 // Cancellation. RouteContext threads a context through the pipeline,
-// checked at coordinator points only — the single-threaded instants
-// between parallel sections (a pattern batch boundary, the top of a
-// rip-up iteration, a sharded stitch pass). Workers never observe the
-// context, so a run that completes is bit-identical whether or not a
-// context was attached; a run that is cancelled stops at the next
-// checkpoint with every committed route intact and the partial Report
-// preserved in the returned Result.
+// checked only at points between units of work, never inside one:
+//   - before planning;
+//   - at every leaf's pattern batch boundary — on the coordinator for the
+//     whole-grid plan (Shards == 0), whose one slot runs inline, and on
+//     each leaf slot's goroutine otherwise;
+//   - before the stitch pass of a multi-leaf plan;
+//   - at the top of every rip-up iteration.
+// Polling never changes what a unit computes, so a run that completes is
+// bit-identical whether or not a context was attached; a run that is
+// cancelled stops at the next checkpoint with every committed route
+// intact and the partial Report preserved in the returned Result.
 
 // CancelError reports a run aborted at a coordinator checkpoint by its
 // context (cancellation or deadline). The Result returned alongside it

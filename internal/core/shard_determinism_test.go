@@ -113,7 +113,7 @@ func TestShardDeterminism(t *testing.T) {
 }
 
 // TestShardZeroIsMonolithic pins the dispatch contract: Shards = 0 runs
-// the legacy pipeline and reports no shard accounting.
+// the whole-grid plan and reports no shard accounting.
 func TestShardZeroIsMonolithic(t *testing.T) {
 	d := design.MustGenerate("18test5m", 0.005)
 	opt := core.DefaultOptions(core.FastGRH)

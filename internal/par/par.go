@@ -169,7 +169,7 @@ func (p *Pool) ForUnits(site string, n int, fn func(worker, i int) error) []*fau
 	p.For(n, func(worker, i int) {
 		var err error
 		if p.fc.Enabled() {
-			err = p.fc.Run(site, i, worker, func() error { return fn(worker, i) })
+			err = p.fc.Run(site, i, p.lane+worker, func() error { return fn(worker, i) })
 		} else {
 			err = fn(worker, i)
 		}

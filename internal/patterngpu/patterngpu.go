@@ -52,12 +52,21 @@ type Router struct {
 	// batches counts RouteBatch calls: the batch ordinal is the kernel
 	// site's injection unit, a worker-count-invariant identity.
 	batches int
+
+	// lane is the tracer lane of the batch span and of kernel fault
+	// markers; obs.Coordinator unless SetLane moved it.
+	lane int
 }
 
 // New builds a Router with the given device spec and pattern configuration.
 func New(spec gpu.Spec, cfg pattern.Config) *Router {
-	return &Router{Dev: gpu.New(spec), Cfg: cfg}
+	return &Router{Dev: gpu.New(spec), Cfg: cfg, lane: obs.Coordinator}
 }
+
+// SetLane moves the router's spans to a tracer lane. Sharded routing runs
+// one Router per concurrent leaf slot; each draws on its slot's own lane
+// so sibling slots never interleave spans on one lane.
+func (r *Router) SetLane(lane int) { r.lane = lane }
 
 // SetBatchBase offsets the batch-ordinal counter. Sharded routing runs one
 // Router per leaf region; giving each a disjoint ordinal space keeps the
@@ -86,10 +95,10 @@ type BatchResult struct {
 func (r *Router) RouteBatch(g *grid.Graph, trees []*stt.Tree) BatchResult {
 	ord := r.batches
 	r.batches++
-	sp := r.Obs.T().StartSpan("gpu.batch", obs.Coordinator)
+	sp := r.Obs.T().StartSpan("gpu.batch", r.lane)
 	var br BatchResult
 	if r.Fault.Enabled() {
-		err := r.Fault.RunOnce(fault.SiteKernel, ord, obs.Coordinator, func() error {
+		err := r.Fault.RunOnce(fault.SiteKernel, ord, r.lane, func() error {
 			var solveErr error
 			br, solveErr = r.routeBatchContained(g, trees)
 			return solveErr

@@ -97,8 +97,10 @@ func (sp *JobSpec) normalize() error {
 	if sp.RRR != nil && *sp.RRR < 0 {
 		return fmt.Errorf("rrr %d is negative", *sp.RRR)
 	}
-	if sp.ExecWorkers < 0 {
-		return fmt.Errorf("exec_workers %d is negative", sp.ExecWorkers)
+	// The router starts a goroutine and keeps a maze scratch per worker,
+	// so the count is bounded like the shard count.
+	if sp.ExecWorkers < 0 || sp.ExecWorkers > 1024 {
+		return fmt.Errorf("exec_workers %d outside [0, 1024]", sp.ExecWorkers)
 	}
 	if sp.Shards < 0 || sp.Shards > 4096 {
 		return fmt.Errorf("shards %d outside [0, 4096]", sp.Shards)

@@ -131,6 +131,15 @@ func BuildPlan(d *design.Design, margin int) *Plan {
 	return p
 }
 
+// WholeGrid returns the degenerate plan of a w×h grid: one leaf covering
+// every G-cell and no cuts. Unsharded routing runs the leaf pipeline over
+// it — every net is intra-leaf and nothing is split — without paying for
+// the pin census and bisection of BuildPlan, so its leaf pin count is 0.
+func WholeGrid(w, h int) *Plan {
+	full := geom.Rect{Hi: geom.Point{X: w - 1, Y: h - 1}}
+	return &Plan{W: w, H: h, nodes: []node{{rect: full, left: -1, right: -1}}, leaves: []int{0}}
+}
+
 // weightedMedian returns the smallest coordinate c along the cut axis such
 // that the pins of r at coordinates <= c reach half of r's total; the
 // middle of the span when r holds no pins.

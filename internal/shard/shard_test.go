@@ -119,3 +119,27 @@ func TestPlanIsPureFunction(t *testing.T) {
 		}
 	}
 }
+
+// TestWholeGridPlan pins the degenerate plan unsharded routing runs on:
+// one leaf equal to the grid, containing every point and every in-grid
+// rectangle, grouped alone for every group count.
+func TestWholeGridPlan(t *testing.T) {
+	p := WholeGrid(37, 21)
+	full := geom.Rect{Hi: geom.Point{X: 36, Y: 20}}
+	if p.NumLeaves() != 1 || p.Leaf(0) != full {
+		t.Fatalf("whole-grid plan: %d leaves, leaf 0 = %v; want 1 leaf = %v", p.NumLeaves(), p.Leaf(0), full)
+	}
+	for _, pt := range []geom.Point{{}, {X: 36, Y: 20}, {X: 18, Y: 3}} {
+		if got := p.LeafContaining(pt); got != 0 {
+			t.Errorf("LeafContaining(%v) = %d, want 0", pt, got)
+		}
+	}
+	if got := p.LeafOf(full); got != 0 {
+		t.Errorf("LeafOf(whole grid) = %d, want 0", got)
+	}
+	for _, k := range []int{0, 1, 4} {
+		if g := p.Groups(k); len(g) != 1 || len(g[0]) != 1 || g[0][0] != 0 {
+			t.Errorf("Groups(%d) = %v, want [[0]]", k, g)
+		}
+	}
+}

@@ -43,9 +43,7 @@ func RunWorkersObserved(g *sched.Graph, workers int, o *obs.Observer, fn func(wo
 	if n == 0 {
 		return
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = clampWorkers(workers, n)
 
 	waitHist := o.M().Histogram(obs.MTaskWaitNs, obs.DurationBuckets)
 	runHist := o.M().Histogram(obs.MTaskRunNs, obs.DurationBuckets)
@@ -151,16 +149,16 @@ func (r *FaultReport) Failure() *fault.WorkError {
 // drain unrun and CancelErr reports the cause. Task ids, not goroutine
 // interleavings, key injection and ordering, so for a fixed fault seed
 // the Completed/Failed/Skipped partition is identical at every worker
-// count (except after a cancel, which is an abort path).
-func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, c *fault.Containment, fn func(worker, task int) error) FaultReport {
+// count (except after a cancel, which is an abort path). lane is the
+// tracer-lane base of the workers, as par.Pool.SetLane: worker w's
+// fault markers land on lane+w, while fn still receives the raw w.
+func RunWorkersFault(g *sched.Graph, workers, lane int, o *obs.Observer, c *fault.Containment, fn func(worker, task int) error) FaultReport {
 	var rep FaultReport
 	n := len(g.Tasks)
 	if n == 0 {
 		return rep
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = clampWorkers(workers, n)
 
 	waitHist := o.M().Histogram(obs.MTaskWaitNs, obs.DurationBuckets)
 	runHist := o.M().Histogram(obs.MTaskRunNs, obs.DurationBuckets)
@@ -240,7 +238,7 @@ func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, c *fault.Cont
 				if drain {
 					// Abort path: don't run, just settle so the run ends.
 				} else if c.Enabled() {
-					err = c.Run(fault.SiteTask, t, worker, func() error { return fn(worker, t) })
+					err = c.Run(fault.SiteTask, t, lane+worker, func() error { return fn(worker, t) })
 				} else {
 					var run obs.Stopwatch
 					if observing {
@@ -287,6 +285,18 @@ func RunWorkersFault(g *sched.Graph, workers int, o *obs.Observer, c *fault.Cont
 	sortInts(rep.Skipped)
 	sortErrs(rep.Errs)
 	return rep
+}
+
+// clampWorkers bounds the goroutine count to [1, tasks]: a worker beyond
+// the task count could never claim a task.
+func clampWorkers(workers, tasks int) int {
+	if workers > tasks {
+		workers = tasks
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
 }
 
 func sortInts(s []int) {
