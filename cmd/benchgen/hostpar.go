@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/design"
 	"fastgr/internal/geom"
 	"fastgr/internal/gpu"
@@ -149,18 +146,5 @@ func runHostpar(out string) error {
 	}
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := atomicio.WriteFile(out, data); err != nil {
-		return err
-	}
-	fmt.Printf("host-parallel benchmark record written to %s\n", out)
-	return nil
+	return writeRecord(out, "host-parallel benchmark", rep)
 }

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/lint"
 )
 
@@ -102,16 +100,7 @@ func runLint(out string) error {
 		rep.Checks[st.Check] = lintCheckStat{WallMs: st.WallMs, Findings: st.Findings}
 	}
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else if err := atomicio.WriteFile(out, data); err != nil {
+	if err := writeRecord(out, "lint benchmark", rep); err != nil {
 		return err
 	}
 	fmt.Printf("lint: %d packages, %d files, %d findings in %.0fms (%.0f files/sec, %.2fx baseline)\n",

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
-	"fastgr/internal/atomicio"
 	"fastgr/internal/core"
 	"fastgr/internal/design"
 )
@@ -152,20 +149,8 @@ func runShard(out string) error {
 	rep.HeapRatioK4 = float64(k4.DeltaHeap) / float64(rep.Monolithic.DeltaHeap)
 
 	rep.Meta = currentBenchMeta()
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeRecord(out, "sharded routing benchmark", rep); err != nil {
 		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := atomicio.WriteFile(out, data); err != nil {
-			return err
-		}
-		fmt.Printf("sharded routing benchmark record written to %s\n", out)
 	}
 	if rep.HeapRatioK4 > maxShardHeapRatio {
 		return fmt.Errorf("K=4 peak-heap delta is %.2fx the monolithic one (gate %.2fx): %d vs %d bytes",

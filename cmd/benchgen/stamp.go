@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"os/exec"
 	"runtime"
 	"strings"
+
+	"fastgr/internal/atomicio"
 )
 
 // benchSchemaVersion versions the BENCH_*.json layout. Bump it when a
@@ -57,4 +61,23 @@ func (m BenchMeta) comparableWith(base BenchMeta) (bool, string) {
 		return false, fmt.Sprintf("toolchain %s vs baseline %s", m.GoVersion, base.GoVersion)
 	}
 	return true, ""
+}
+
+// writeRecord writes a benchmark record as indented JSON to out
+// (crash-safely) or, when out is empty, to stdout.
+func writeRecord(out, what string, rep any) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	if err := atomicio.WriteFile(out, data); err != nil {
+		return err
+	}
+	fmt.Printf("%s record written to %s\n", what, out)
+	return nil
 }
